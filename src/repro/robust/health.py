@@ -15,8 +15,18 @@ implements that gate for any :class:`~repro.core.generator.BSRNG`:
   (:func:`repro.nist.fips140.fips140_battery`) on the first 20,000 bits.
 
 Both continuous tests are *streaming*: state (current run, current
-window) carries across buffers, and each buffer is screened with
-vectorised numpy passes rather than a per-byte Python loop.
+window) carries across buffers, and each buffer is screened in a fixed
+number of whole-buffer numpy passes, with no Python loop over bytes or
+windows:
+
+* RCT compares each byte with its predecessor once, then works only on
+  the sparse indices where a byte repeats, grouping consecutive ones
+  into runs by the label ``index - rank`` (the carried run extends the
+  group at offset 0);
+* APT finishes the window left open by the previous buffer with one
+  count, reshapes the following complete windows to ``(k, window)`` and
+  counts each row's matches of its first sample, and opens the trailing
+  partial window as carried state.
 
 Cutoffs are derived, not hard-coded: for a false-positive rate ``alpha``
 and an entropy estimate of ``h`` bits per byte sample, the RCT cutoff is
@@ -157,26 +167,32 @@ class RepetitionCountTest:
         cutoff, or ``None`` when the buffer is healthy.  State carries to
         the next call either way.
         """
-        if data.size == 0:
+        n = data.size
+        if n == 0:
             return None
-        # runs within the buffer
-        change = np.flatnonzero(np.diff(data)) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [data.size]])
-        lengths = ends - starts
-        # the first run may extend the carried run from the previous buffer
-        carry = self._run if self._last is not None and int(data[0]) == self._last else 0
-        total_first = lengths[0] + carry
+        carry = self._run if self._last == int(data[0]) else 0
+        # i where data[i + 1] repeats data[i]: about one in 256 for healthy
+        # output, so the run bookkeeping below touches a sparse index set
+        rep = np.flatnonzero(data[1:] == data[:-1])
+        k = rep.size
+        # rep[i] - i is constant along consecutive repeat indices, so it
+        # labels the run each repeat belongs to (labels never decrease)
+        label = rep - np.arange(k)
+        lead = int(np.searchsorted(label, 0, "right"))  # repeats of the run at offset 0
+        trail = k - int(np.searchsorted(label, n - 1 - k))  # ... of the run ending at n - 1
         fail_at: int | None = None
-        if total_first >= self.cutoff:
-            fail_at = int(starts[0] + max(self.cutoff - carry, 1) - 1)
-        else:
-            over = np.flatnonzero(lengths >= self.cutoff)
-            if over.size:
-                fail_at = int(starts[over[0]] + self.cutoff - 1)
+        # the first run may extend the carried run from the previous buffer
+        if 1 + lead + carry >= self.cutoff:
+            fail_at = max(self.cutoff - carry, 1) - 1
+        elif k > self.cutoff - 2:
+            # a run of `cutoff` samples holds cutoff - 1 repeats of one label
+            gap = self.cutoff - 2
+            hit = np.flatnonzero(label[gap:] == label[: k - gap])
+            if hit.size:
+                fail_at = int(rep[hit[0]]) + self.cutoff - 1
         # carry the trailing run forward
         self._last = int(data[-1])
-        self._run = int(lengths[-1]) + (carry if lengths.size == 1 else 0)
+        self._run = 1 + trail + (carry if trail == n - 1 else 0)
         return fail_at
 
 
@@ -199,30 +215,51 @@ class AdaptiveProportionTest:
         self._seen = 0  # samples consumed of the current window
         self._count = 0  # matches of the reference so far (incl. itself)
 
-    def _open_window(self, sample: int) -> None:
-        self._ref = sample
-        self._seen = 1
-        self._count = 1
-
     def update(self, data: np.ndarray) -> int | None:
-        """Screen one buffer; returns the failing offset or ``None``."""
-        pos = 0
+        """Screen one buffer; returns the failing offset or ``None``.
+
+        A failure reports the last offset of the failing window inside
+        *data* (the buffer's last offset when the window is still open)
+        and leaves that window's state in place.
+        """
         n = data.size
-        while pos < n:
-            if self._ref is None:
-                self._open_window(int(data[pos]))
-                pos += 1
-                continue
-            take = min(self.window - self._seen, n - pos)
-            chunk = data[pos : pos + take]
-            # vectorised count of the reference value inside the window
-            self._count += int(np.count_nonzero(chunk == self._ref))
-            self._seen += take
+        if n == 0:
+            return None
+        pos = 0
+        if self._ref is not None:
+            # finish the window carried over from the previous buffer
+            pos = min(self.window - self._seen, n)
+            self._count += int(np.count_nonzero(data[:pos] == self._ref))
+            self._seen += pos
             if self._count >= self.cutoff:
-                return pos + take - 1
-            pos += take
+                return pos - 1
             if self._seen == self.window:
-                self._ref = None  # next sample opens a new window
+                self._ref = None
+        # every complete window in one pass: row-wise matches of column 0
+        k = (n - pos) // self.window
+        if k:
+            windows = data[pos : pos + k * self.window].reshape(k, self.window)
+            # summed as bytes in the narrowest dtype that holds the cutoff
+            matches = (windows == windows[:, :1]).view(np.uint8)
+            counts = matches.sum(axis=1, dtype=np.min_scalar_type(self.window + 1))
+            over = np.flatnonzero(counts >= self.cutoff)
+            if over.size:
+                j = int(over[0])
+                self._ref = int(windows[j, 0])
+                self._seen = self.window
+                self._count = int(counts[j])
+                return pos + (j + 1) * self.window - 1
+            # a closed window leaves its tallies behind (only _ref says "open")
+            self._seen, self._count = self.window, int(counts[-1])
+            pos += k * self.window
+        if pos < n:
+            # the trailing partial window stays open for the next buffer
+            tail = data[pos:]
+            self._ref = int(tail[0])
+            self._seen = tail.size
+            self._count = int(np.count_nonzero(tail == self._ref))
+            if self._count >= self.cutoff:
+                return n - 1
         return None
 
 

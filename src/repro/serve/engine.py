@@ -25,7 +25,9 @@ machinery the batch layers built:
   (:mod:`repro.robust.health`).  A screening failure is treated like any
   other failed attempt (the chunk is regenerated), and the verdict is
   *latched*: ``/healthz`` reports unhealthy from the first failure until
-  an operator intervenes.
+  an operator intervenes.  When a retry returns the byte-identical
+  payload and fails the screen again, the verdict is the stream's own:
+  the engine stops the pool attempts and degrades to inline generation.
 
 Worker processes each own a bounded :class:`RangeSource` cache of
 generator fronts per stream config (the *per-worker ownership
@@ -469,20 +471,26 @@ class ServeEngine:
                 self._observe_qa(data)
                 return data
             if self._pool is not None:
+                rejected: bytes | None = None  # the previous attempt's screened-out bytes
                 for attempt in range(cfg.max_retries + 1):
                     if attempt:
                         time.sleep(cfg.backoff(attempt))
                         self._count(retries=1)
                         obs.inc("repro_serve_chunk_retries_total")
-                    data = self._attempt_pool(job, attempt, cfg)
-                    if data is not None:
+                    data, accepted = self._attempt_pool(job, attempt, cfg)
+                    if accepted:
                         self._count(chunks_ok=1)
                         self._observe_qa(data)
                         return data
+                    if data is not None and data == rejected:
+                        # the retry reproduced the screened-out bytes: they
+                        # are the stream's own, so no pool attempt can pass
+                        break
+                    rejected = data
                 if not cfg.degrade_sequential:
                     raise DeviceFailureError(
                         f"chunk {chunk_id} (offset {offset}, {n} bytes) failed "
-                        f"{cfg.max_retries + 1} pool attempts"
+                        f"{attempt + 1} pool attempts"
                     )
                 self._count(degraded=1)
                 obs.inc("repro_serve_degraded_chunks_total")
@@ -503,8 +511,15 @@ class ServeEngine:
         if self.qa is not None:
             self.qa.observe(data)
 
-    def _attempt_pool(self, job: tuple, attempt: int, cfg: SupervisorConfig) -> bytes | None:
-        """One pool attempt; ``None`` means retry (reason counted)."""
+    def _attempt_pool(
+        self, job: tuple, attempt: int, cfg: SupervisorConfig
+    ) -> tuple[bytes | None, bool]:
+        """One pool attempt: ``(data, accepted)``, the reason counted.
+
+        A screen reject returns its bytes with ``accepted`` false, so the
+        caller can tell a reproducible verdict from a transient fault;
+        every other failure returns ``(None, False)``.
+        """
         chunk_id, _, offset, n, verify = job[:5]
         handle = self._pool.apply_async(_serve_chunk, (job, attempt))
         try:
@@ -512,12 +527,12 @@ class ServeEngine:
         except mp.TimeoutError:
             self._count(timeouts=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="timeout")
-            return None
+            return None, False
         except Exception as exc:  # worker raised (crash, injected fault, ...)
             self._count(worker_errors=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="error")
             obs.inc("repro_serve_worker_exceptions_total", 1, exception=type(exc).__name__)
-            return None
+            return None, False
         if spans is not None:
             tracer = obs.active_tracer()
             if tracer is not None:
@@ -527,12 +542,12 @@ class ServeEngine:
             obs.inc("repro_serve_chunk_failures_total", 1, kind="corrupt")
             flight.record("crc-reject", chunk=chunk_id, offset=offset, n=n)
             flight.dump("crc")
-            return None
+            return None, False
         if self.screen and self.health.screen(data) is not None:
             self._count(screen_rejects=1)
             obs.inc("repro_serve_chunk_failures_total", 1, kind="screen")
-            return None
-        return data
+            return data, False
+        return data, True
 
     # -- introspection -----------------------------------------------------------
     def status(self) -> dict:

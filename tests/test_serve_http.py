@@ -12,6 +12,8 @@ here:
 * ``/metrics`` passes the Prometheus exposition linter in-process;
 * an injected *stuck* fault degrades service (the chunk retries and the
   request completes) while ``/healthz`` latches unhealthy;
+* a screen failure that the retry reproduces byte for byte stops the
+  pool attempts and is served, true bytes, by the inline arbiter;
 * an injected worker *crash* is absorbed by supervision — the client
   sees a clean 200, never an error.
 """
@@ -273,6 +275,26 @@ class TestFaultDrills:
             chunks = daemon.engine.status()["chunks"]
             assert chunks["screen_rejects"] >= 1
             assert chunks["retries"] >= 1
+
+    def test_reproducible_screen_failure_goes_straight_to_inline(self, monkeypatch):
+        # a persistent all-zero bias makes every pool attempt return the
+        # same bytes, which verify clean and fail the screen: the first
+        # retry reproduces the verdict, so the engine stops retrying and
+        # the inline arbiter serves the true bytes
+        plan = FaultPlan(faults=(Fault(kind="bias", partition=0, bias_mask=0x00),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        with running_daemon(workers=1, chunk_bytes=2048) as (daemon, base):
+            status, headers, body = get(f"{base}/v1/bytes?n=2048")
+            assert status == 200
+            offset = int(headers["X-Repro-Lease-Offset"])
+            assert body == offline_bytes(offset, 2048), "inline must serve true bytes"
+            chunks = daemon.engine.status()["chunks"]
+            assert chunks["retries"] == 1
+            assert chunks["degraded"] == 1
+            assert chunks["screen_rejects"] == 2
+            with pytest.raises(urllib.error.HTTPError) as err:
+                get(f"{base}/healthz")
+            assert err.value.code == 503
 
     def test_corrupt_payload_is_caught_by_crc_receipt(self, monkeypatch):
         # corruption happens after the worker's CRC receipt, so the
